@@ -22,34 +22,27 @@ AdmissionOutcome AdmissionStage::Admit(const QueryGraph& graph,
   out.headroom_multiplier =
       tracker_ != nullptr ? tracker_->HeadroomMultiplier(out.query_class) : 1.0;
 
+  const LimitsPolicy& policy = admission_.limits_policy;
   if (cache_ != nullptr) {
     if (std::optional<double> cached = cache_->Lookup(graph)) {
+      // A signature hit reuses the cached seconds as the prediction and
+      // skips estimation entirely: the hit already answers the only
+      // question the estimate would. Only a deadline can be derived from
+      // seconds alone — the count caps stay unlimited
+      // (LimitsPolicy::DeriveFromSeconds).
       out.cache_hit = true;
-      if (admission_.skip_estimate_on_cache_hit) {
-        // The cached *measured* seconds stand in for the estimate. Only a
-        // deadline can be derived from seconds alone — the count caps
-        // stay unlimited (LimitsPolicy::DeriveFromSeconds).
-        out.predicted_seconds = *cached;
-        out.patience_seconds =
-            admission_.limits_policy.DerivePatience(out.predicted_seconds);
-        if (admission_.derive_limits) {
-          out.limits = admission_.limits_policy.DeriveFromSeconds(
-              *cached, out.headroom_multiplier);
-        }
-        return out;
-      }
+      out.predicted_seconds = *cached;
+      out.patience_seconds = policy.DerivePatience(out.predicted_seconds);
+      out.limits = policy.DeriveFromSeconds(*cached, out.headroom_multiplier);
+      return out;
     }
   }
 
   out.estimate = session_.Estimate(graph, time_model_);
   out.estimated = true;
   out.predicted_seconds = out.estimate.estimated_seconds;
-  out.patience_seconds =
-      admission_.limits_policy.DerivePatience(out.predicted_seconds);
-  if (admission_.derive_limits) {
-    out.limits = admission_.limits_policy.Derive(out.estimate,
-                                                 out.headroom_multiplier);
-  }
+  out.patience_seconds = policy.DerivePatience(out.predicted_seconds);
+  out.limits = policy.Derive(out.estimate, out.headroom_multiplier);
   return out;
 }
 

@@ -10,13 +10,6 @@
 namespace cote {
 
 struct AdmissionOptions {
-  /// Signature hit in the statement cache ⇒ reuse the cached measured
-  /// seconds as the prediction and skip estimation entirely — the hit
-  /// already answers the only question the estimate would.
-  bool skip_estimate_on_cache_hit = true;
-  /// Derive per-query ResourceLimits from the prediction; off = every
-  /// query runs ungoverned (unlimited).
-  bool derive_limits = true;
   LimitsPolicy limits_policy;
 };
 
@@ -30,8 +23,7 @@ struct AdmissionOutcome {
   /// True when the statement cache answered by signature.
   bool cache_hit = false;
   CompileTimeEstimate estimate;
-  /// Limits the compile should run under (unlimited when derive_limits is
-  /// off).
+  /// Limits the compile should run under, derived from the prediction.
   ResourceLimits limits;
   /// Estimate-derived queue-wait patience in seconds
   /// (LimitsPolicy::DerivePatience); <= 0 means the query waits forever.

@@ -2,20 +2,13 @@
 #define COTE_SERVICE_ASYNC_EXECUTOR_H_
 
 #include <cstddef>
-#include <memory>
 #include <thread>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/mutex.h"
 #include "common/resource_budget.h"
 #include "common/thread_annotations.h"
-#include "service/admission.h"
-#include "service/arrival_trace.h"
-#include "service/compile_service.h"
-#include "service/scheduler.h"
-#include "service/trip_tracker.h"
-#include "session/session_pool.h"
+#include "service/service_core.h"
 
 namespace cote {
 
@@ -24,7 +17,7 @@ namespace cote {
 ///
 /// CompileService::Run simulates the service timeline (discrete-event,
 /// virtual clock) while compiling on the calling thread; this class runs
-/// the *same* front-end — estimate-first admission, policy-ordered
+/// the *same* ServiceCore — estimate-first admission, policy-ordered
 /// ReadyQueue, estimate-derived per-query limits, estimate-gated caching
 /// — as an actual server: `num_workers` threads each own one warm pool
 /// session, block on `ready_cv_` while the queue is empty, pop by
@@ -64,8 +57,9 @@ namespace cote {
 /// record is complete at Submit, so shed tickets count submitted *and*
 /// finished immediately and ticket conservation holds. At pop, the wall
 /// queue wait demotes the entry down the degradation ladder (tiered
-/// limits applied in CompileEntry); transient failures re-enqueue one
-/// tier down, up to max_retries, without touching submitted_/finished_.
+/// limits applied in ServiceCore::Dispatch); transient failures
+/// re-enqueue one tier down, up to max_retries, without touching
+/// submitted_/finished_.
 ///
 /// Cross-thread cancellation: each worker registers its in-flight compile
 /// (start time, patience, the session's ResourceBudget) in `inflight_`
@@ -111,9 +105,8 @@ class AsyncCompileService {
   explicit AsyncCompileService(CompileServiceOptions options = {});
   ~AsyncCompileService();
 
-  // Non-copyable, non-movable for CompileService's reasons (admission and
-  // cache policy hold pointers into our own members) plus the worker
-  // threads' `this` capture.
+  // Non-copyable, non-movable: the core points into itself, and the
+  // worker threads capture `this`.
   AsyncCompileService(const AsyncCompileService&) = delete;
   AsyncCompileService& operator=(const AsyncCompileService&) = delete;
   AsyncCompileService(AsyncCompileService&&) = delete;
@@ -132,7 +125,7 @@ class AsyncCompileService {
   /// deferred feedback (cache inserts, tracker records) in ticket order,
   /// and returns the burst's report with records in ticket (submission)
   /// order — input-order recovery is `report.records[ticket]`, unlike
-  /// Run-the-simulation's dispatch-ordered records. Resets burst state,
+  /// the simulated Run's event-ordered records. Resets burst state,
   /// so the service is immediately reusable for the next burst. With
   /// external_cancel_factor > 0 this loop is also the cancellation
   /// supervisor (see the class doc).
@@ -160,21 +153,13 @@ class AsyncCompileService {
   /// Called by the destructor; call it earlier to bound worker lifetime.
   void Shutdown() COTE_EXCLUDES(mu_);
 
-  const CompileServiceOptions& options() const { return options_; }
+  const CompileServiceOptions& options() const { return core_.options(); }
   /// Null when the cache is disabled.
-  CompileTimeCache* cache() { return cache_.get(); }
-  const TripRateTracker& tracker() const { return tracker_; }
-  SessionPool& pool() { return pool_; }
+  CompileTimeCache* cache() { return core_.cache(); }
+  const TripRateTracker& tracker() const { return core_.tracker(); }
+  SessionPool& pool() { return core_.pool(); }
 
  private:
-  /// One admitted-but-not-drained submission, indexed by ticket.
-  struct Pending {
-    Submission submission;
-    AdmissionOutcome admission;
-    /// Service-clock seconds from the burst epoch at Submit time.
-    double arrival_seconds = 0;
-  };
-
   /// One worker's currently compiling entry, for the cancellation
   /// supervisor. Registered/cleared by the worker and read (and tripped)
   /// by Drain, all under mu_.
@@ -191,26 +176,9 @@ class AsyncCompileService {
   /// Body of worker thread `worker` (owning pool session `worker`).
   void WorkerLoop(int worker) COTE_EXCLUDES(mu_);
 
-  /// The per-dispatch hot path: compiles `entry` on worker `worker`'s own
-  /// session at degradation tier `tier` and builds its record. Touches
-  /// only worker-private state — no lock, no allocation
-  /// (tools/hotpath_lint.py manifests it).
-  ServiceQueryRecord CompileEntry(int worker, const ReadyEntry& entry,
-                                  const Pending& work, double epoch,
-                                  int tier);
-
-  /// Terminal record for a ticket that was never dispatched (queue-full
-  /// or expiry shed) — the caller classifies and publishes it.
-  ServiceQueryRecord MakeShedRecord(const ReadyEntry& entry,
-                                    const Pending& work, double at_offset,
-                                    Status status) const;
-
-  CompileServiceOptions options_;
-  Clock* clock_;  // never null after construction
-  std::unique_ptr<CompileTimeCache> cache_;  // null when disabled
-  TripRateTracker tracker_;
-  AdmissionStage admission_;
-  SessionPool pool_;
+  /// Immutable options, clock and pool; its cache, tracker and admission
+  /// stage are touched only by the driver thread (Submit, Drain).
+  ServiceCore core_;
 
   Mutex mu_;
   /// Workers wait here for work (or stop). Signaled by Submit, retry
@@ -225,7 +193,7 @@ class AsyncCompileService {
   /// Burst state, reset by Drain. `pending_` is indexed by ticket and
   /// only ever grows within a burst, so a worker's copy-out never races
   /// a reallocation observed without the lock.
-  std::vector<Pending> pending_ COTE_GUARDED_BY(mu_);
+  std::vector<AdmittedWork> pending_ COTE_GUARDED_BY(mu_);
   std::vector<ServiceQueryRecord> completed_ COTE_GUARDED_BY(mu_);
   size_t submitted_ COTE_GUARDED_BY(mu_) = 0;
   size_t finished_ COTE_GUARDED_BY(mu_) = 0;

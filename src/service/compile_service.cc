@@ -1,188 +1,31 @@
 #include "service/compile_service.h"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 
 #include "common/check.h"
-#include "common/str_util.h"
 
 namespace cote {
 
-namespace {
-
-/// p95 of queue_seconds over records passing `served_only` filtering.
-double P95Queue(const std::vector<ServiceQueryRecord>& records,
-                bool served_only) {
-  std::vector<double> q;
-  q.reserve(records.size());
-  for (const ServiceQueryRecord& r : records) {
-    if (served_only && r.outcome != ServiceOutcome::kServedFull &&
-        r.outcome != ServiceOutcome::kServedDegraded) {
-      continue;
-    }
-    q.push_back(r.queue_seconds);
-  }
-  if (q.empty()) return 0;
-  std::sort(q.begin(), q.end());
-  // Nearest-rank p95: smallest value ≥ 95% of the sample.
-  const size_t rank = (q.size() * 95 + 99) / 100;  // ceil(0.95 n)
-  return q[rank == 0 ? 0 : rank - 1];
-}
-
-/// Whole patience intervals `entry` waited by dispatch time `now` — the
-/// tier demotion count. Patience <= 0 never demotes.
-int Demotions(const ReadyEntry& entry, double now) {
-  if (entry.patience_seconds <= 0) return 0;
-  const double waited = now - entry.ready_seconds;
-  if (waited < entry.patience_seconds) return 0;
-  return static_cast<int>(waited / entry.patience_seconds);
-}
-
-}  // namespace
-
-double ServiceReport::MeanQueueSeconds() const {
-  if (records.empty()) return 0;
-  double sum = 0;
-  // det-ok: record-order fold of timeline arithmetic, order pinned by Run
-  for (const ServiceQueryRecord& r : records) sum += r.queue_seconds;
-  return sum / static_cast<double>(records.size());
-}
-
-double ServiceReport::P95QueueSeconds() const {
-  return P95Queue(records, /*served_only=*/false);
-}
-
-double ServiceReport::P95ServedQueueSeconds() const {
-  return P95Queue(records, /*served_only=*/true);
-}
-
-void DispatchTraceObserver(void* ctx, const StageEvent& event) {
-  auto* trace = static_cast<DispatchTrace*>(ctx);
-  ++trace->events;
-  if (event.budget_tripped) trace->budget_tripped = true;
-}
-
-bool ThresholdAdmission(void* ctx, uint64_t /*signature*/,
-                        double cost_seconds) {
-  return cost_seconds >= *static_cast<const double*>(ctx);
-}
-
-ServiceOutcome ClassifyRecord(const ServiceQueryRecord& record) {
-  // The two shed shapes are typed by construction: queue-full sheds carry
-  // kUnavailable, expiry sheds sit at the ladder's bottom tier.
-  if (record.status.code() == StatusCode::kUnavailable) {
-    return ServiceOutcome::kShedQueueFull;
-  }
-  if (record.tier >= static_cast<int>(ServiceTier::kShed)) {
-    return ServiceOutcome::kShedExpired;
-  }
-  if (!record.status.ok()) return ServiceOutcome::kFailedPermanent;
-  if (record.degraded ||
-      record.tier >= static_cast<int>(ServiceTier::kGreedyOnly)) {
-    return ServiceOutcome::kServedDegraded;
-  }
-  return ServiceOutcome::kServedFull;
-}
-
-OutcomeTaxonomy BuildTaxonomy(const std::vector<ServiceQueryRecord>& records) {
-  OutcomeTaxonomy out;
-  for (const ServiceQueryRecord& r : records) {
-    switch (r.outcome) {
-      case ServiceOutcome::kServedFull:
-        ++out.served_full;
-        break;
-      case ServiceOutcome::kServedDegraded:
-        ++out.served_degraded;
-        break;
-      case ServiceOutcome::kShedQueueFull:
-        ++out.shed_queue_full;
-        break;
-      case ServiceOutcome::kShedExpired:
-        ++out.shed_expired;
-        break;
-      case ServiceOutcome::kFailedPermanent:
-        ++out.failed_permanent;
-        break;
-    }
-    out.retried += r.retries;
-  }
-  return out;
-}
-
 CompileService::CompileService(CompileServiceOptions options)
-    : options_(std::move(options)),
-      clock_(options_.clock != nullptr ? options_.clock : SystemClock::Get()),
-      cache_(options_.enable_cache
-                 ? std::make_unique<CompileTimeCache>(options_.cache_capacity)
-                 : nullptr),
-      tracker_(options_.trip_tracker),
-      admission_(options_.optimizer, options_.counter, options_.time_model,
-                 options_.admission, cache_.get(), &tracker_),
-      pool_(options_.num_workers, options_.optimizer, options_.counter) {
-  if (cache_ != nullptr) {
-    // The ctx points at this service's own options member, so the
-    // threshold stays adjustable per service without any allocation.
-    cache_->SetAdmissionPolicy(
-        &ThresholdAdmission, &options_.cache_admission_threshold_seconds);
-  }
-}
+    : core_(std::move(options)) {}
 
 ServiceReport CompileService::Run(const std::vector<Submission>& arrivals) {
+  const CompileServiceOptions& options = core_.options();
   ServiceReport report;
   const size_t n = arrivals.size();
   report.records.reserve(n);
-  std::vector<double> worker_free(static_cast<size_t>(pool_.num_workers()), 0);
-  std::vector<AdmissionOutcome> admitted(n);
-  std::vector<int> retry_count(n, 0);
-  ReadyQueue queue(options_.policy, options_.queue_capacity,
-                   options_.overload);
+  std::vector<double> worker_free(
+      static_cast<size_t>(core_.pool().num_workers()), 0);
+  std::vector<AdmittedWork> work(n);
+  ReadyQueue queue(options.policy, options.queue_capacity, options.overload);
   size_t next = 0;  // first not-yet-admitted arrival
 
-  // Commits one terminal record: classify, count, notify. Every path that
-  // finishes a ticket — served, failed, or shed — funnels through here,
-  // so "exactly one bucket per ticket" holds by construction.
-  auto commit = [&](ServiceQueryRecord& rec) {
-    rec.outcome = ClassifyRecord(rec);
-    if (rec.estimated) ++report.estimates;
-    if (rec.cache_hit) ++report.cache_hits;
-    if (rec.cache_inserted) ++report.cache_insertions;
-    if (rec.degraded) ++report.degraded;
-    if (!rec.status.ok()) ++report.failed;
-    if (rec.deadline_seconds > 0 &&
-        rec.finish_seconds > rec.deadline_seconds) {
-      ++report.deadline_misses;
-    }
-    report.makespan_seconds =
-        std::max(report.makespan_seconds, rec.finish_seconds);
-    report.records.push_back(rec);
-    if (options_.outcome_observer != nullptr) {
-      options_.outcome_observer(options_.outcome_observer_ctx,
-                                report.records.back());
-    }
-  };
-
-  // A shed record: never dispatched (worker -1, bottom tier, no service
-  // time); `at` is the trace instant the shed decision was taken.
-  auto make_shed = [&](const ReadyEntry& entry, double at, Status status) {
-    const Submission& s = arrivals[entry.ticket];
-    const AdmissionOutcome& adm = admitted[entry.ticket];
-    ServiceQueryRecord rec;
-    rec.ticket = entry.ticket;
-    rec.worker = -1;
-    rec.query_class = adm.query_class;
-    rec.arrival_seconds = s.arrival_seconds;
-    rec.start_seconds = at;
-    rec.finish_seconds = at;
-    rec.queue_seconds = at - s.arrival_seconds;
-    rec.deadline_seconds = s.deadline_seconds;
-    rec.predicted_seconds = adm.predicted_seconds;
-    rec.estimated = adm.estimated;
-    rec.cache_hit = adm.cache_hit;
-    rec.headroom_multiplier = adm.headroom_multiplier;
-    rec.status = std::move(status);
-    rec.tier = static_cast<int>(ServiceTier::kShed);
-    rec.retries = entry.retries;
-    commit(rec);
+  // Every path that finishes a ticket — served, failed, or shed — commits
+  // through here, so "exactly one bucket per ticket" holds by
+  // construction.
+  auto commit = [&](ServiceQueryRecord rec) {
+    core_.ApplyFeedback(*arrivals[rec.ticket].query, std::move(rec), &report);
   };
 
   // Admits every arrival at or before trace time `t` — admission runs at
@@ -195,28 +38,20 @@ ServiceReport CompileService::Run(const std::vector<Submission>& arrivals) {
   // — and Offer says who, if anyone, was refused.
   auto admit_up_to = [&](double t) {
     while (next < n && arrivals[next].arrival_seconds <= t) {
-      if (options_.overload == OverloadPolicy::kBlock && queue.Full()) break;
+      if (options.overload == OverloadPolicy::kBlock && queue.Full()) break;
       const Submission& s = arrivals[next];
       COTE_CHECK(s.query != nullptr);
       COTE_CHECK(next == 0 ||
                  s.arrival_seconds >= arrivals[next - 1].arrival_seconds);
-      admitted[next] = admission_.Admit(*s.query, s.query_class);
-      ReadyEntry entry;
-      entry.ticket = next;
-      entry.ready_seconds = s.arrival_seconds;
-      entry.predicted_seconds = admitted[next].predicted_seconds;
-      entry.deadline_seconds = s.deadline_seconds;
-      entry.patience_seconds = admitted[next].patience_seconds;
+      work[next] = core_.Admit(s);
+      const OfferOutcome offer =
+          queue.Offer(ServiceCore::MakeEntry(next, work[next]));
       ++next;
-      const OfferOutcome offer = queue.Offer(entry);
       if (offer.shed_incoming || offer.shed_existing) {
         // The shed instant is the incoming arrival's own timestamp: that
         // is when the queue was observed full.
-        make_shed(offer.shed, s.arrival_seconds,
-                  Status::Unavailable(StrFormat(
-                      "compile queue full (capacity %zu, policy %s)",
-                      queue.capacity(),
-                      OverloadPolicyName(options_.overload))));
+        commit(core_.ShedRecord(offer.shed, work[offer.shed.ticket],
+                                s.arrival_seconds, /*expired=*/false));
       }
     }
   };
@@ -234,136 +69,49 @@ ServiceReport CompileService::Run(const std::vector<Submission>& arrivals) {
     admit_up_to(t);
     if (queue.empty()) continue;
 
-    ReadyEntry entry = queue.PopNext();
-    // Queue-wait expiry: each whole patience interval waited demotes one
-    // tier; past the ladder's bottom the entry is shed, the worker stays
-    // free at t, and the loop immediately picks again.
-    const int tier = std::min(
-        static_cast<int>(ServiceTier::kShed),
-        entry.tier + Demotions(entry, t));
+    const ReadyEntry entry = queue.PopNext();
+    const int tier = ServiceCore::DispatchTier(entry, t);
     if (tier >= static_cast<int>(ServiceTier::kShed)) {
-      make_shed(entry, t,
-                Status::DeadlineExceeded(StrFormat(
-                    "queue wait %.3fs exhausted patience %.3fs ladder",
-                    t - entry.ready_seconds, entry.patience_seconds)));
+      // The worker stays free at t and the loop immediately picks again.
+      commit(core_.ShedRecord(entry, work[entry.ticket], t, /*expired=*/true));
       admit_up_to(t);  // the shed freed a slot — reopen the door
       continue;
     }
 
-    const Submission& sub = arrivals[entry.ticket];
-    const AdmissionOutcome& adm = admitted[entry.ticket];
-    // The tier transform: full limits, halved limits, or the ungoverned
-    // greedy-only compile.
-    ResourceLimits limits = adm.limits;
-    if (tier == static_cast<int>(ServiceTier::kBudgetHalved)) {
-      limits = HalveLimits(limits);
-    } else if (tier == static_cast<int>(ServiceTier::kGreedyOnly)) {
-      limits = ResourceLimits();
-    }
-
-    ServiceQueryRecord rec;
-    rec.ticket = entry.ticket;
+    // The real compile, on this simulated server's warm session.
+    ServiceQueryRecord rec =
+        core_.Dispatch(core_.pool().session(static_cast<int>(w)), entry,
+                       work[entry.ticket], tier, t);
     rec.worker = static_cast<int>(w);
-    rec.query_class = adm.query_class;
-    rec.arrival_seconds = sub.arrival_seconds;
-    rec.start_seconds = t;
-    rec.queue_seconds = t - sub.arrival_seconds;
-    rec.deadline_seconds = sub.deadline_seconds;
-    rec.predicted_seconds = adm.predicted_seconds;
-    rec.estimated = adm.estimated;
-    rec.cache_hit = adm.cache_hit;
-    rec.headroom_multiplier = adm.headroom_multiplier;
-    rec.limits = limits;
-    rec.tier = tier;
-    rec.retries = entry.retries;
-
-    // The real compile, on this simulated server's warm session. The
-    // observer context attributes this run's stage events (and any budget
-    // trip) to this queue entry — the fn + ctx observer shape exists for
-    // exactly this.
-    DispatchTrace trace;
-    CompilationSession& session = pool_.session(static_cast<int>(w));
-    session.SetStageObserver(&DispatchTraceObserver, &trace);
-    const double wall_before = clock_->NowSeconds();
-    StatusOr<OptimizeResult> result =
-        tier == static_cast<int>(ServiceTier::kGreedyOnly)
-            ? session.OptimizeGreedy(*sub.query)
-            : (limits.Unlimited() ? session.Optimize(*sub.query)
-                                  : session.Optimize(*sub.query, limits));
-    const double measured_seconds = clock_->NowSeconds() - wall_before;
-    session.SetStageObserver(nullptr, nullptr);
-
-    rec.stage_events = trace.events;
-    rec.budget_tripped = trace.budget_tripped;
-    if (result.ok()) {
-      rec.degraded = result->degraded;
-      rec.tripped_limit = result->tripped_limit;
-      rec.degraded_stage = result->degraded_stage;
-    } else {
-      rec.status = result.status();
-    }
-
-    rec.service_seconds = options_.time_source == ServiceTimeSource::kClock
-                              ? measured_seconds
-                              : adm.predicted_seconds;
-    rec.finish_seconds = rec.start_seconds + rec.service_seconds;
     worker_free[w] = rec.finish_seconds;
-    if (options_.drive_clock != nullptr) {
-      options_.drive_clock->SetAtLeast(rec.finish_seconds);
+    if (options.drive_clock != nullptr) {
+      options.drive_clock->SetAtLeast(rec.finish_seconds);
     }
-
-    // Bounded retry-with-degradation: a transient failure with budget
-    // left re-enqueues one tier down (capacity-blind — the ticket paid
-    // admission once) and commits no record; only the final attempt does.
-    if (!result.ok() && IsTransientFailure(result.status().code()) &&
-        retry_count[entry.ticket] < options_.max_retries) {
-      ++retry_count[entry.ticket];
-      ReadyEntry again = entry;
-      again.ready_seconds = rec.finish_seconds;
-      again.tier = std::min(static_cast<int>(ServiceTier::kGreedyOnly),
-                            tier + 1);
-      again.retries = retry_count[entry.ticket];
-      queue.Push(again);
+    // A retried attempt commits no record; only the final attempt does.
+    if (std::optional<ReadyEntry> again =
+            core_.Retry(entry, rec, rec.finish_seconds)) {
+      queue.Push(*again);
       continue;
     }
-
-    // Close the two feedback loops — terminal compiled attempts only
-    // (sheds never ran, retried attempts aren't final). Cache: store what
-    // this statement actually cost, gated (inside the cache) on what
-    // admission predicted it would cost. Tracker: an armed compile that
-    // tripped its *applied* budget is evidence the estimator runs low for
-    // this class — a greedy-tier run applied no budget, so it is silent.
-    if (cache_ != nullptr && !adm.cache_hit && result.ok()) {
-      rec.cache_inserted =
-          cache_->Insert(*sub.query, rec.service_seconds,
-                         adm.predicted_seconds);
-    }
-    if (!limits.Unlimited()) {
-      tracker_.Record(
-          adm.query_class,
-          IsBudgetTrip(rec.degraded, rec.status, rec.budget_tripped));
-    }
-
-    commit(rec);
+    commit(std::move(rec));
   }
 
-  report.taxonomy = BuildTaxonomy(report.records);
-  if (cache_ != nullptr) report.cache_stats = cache_->Stats();
-  report.class_feedback = tracker_.Snapshot();
+  core_.FinishReport(&report);
   return report;
 }
 
 ServiceBatchResult CompileService::CompileBatch(
     const std::vector<const QueryGraph*>& queries) {
+  const CompileServiceOptions& options = core_.options();
   ServiceBatchResult out;
   const size_t n = queries.size();
-  out.admissions.resize(n);
   out.results.assign(n, StatusOr<OptimizeResult>(
                             Status::Internal("query was not compiled")));
-  out.traces.resize(n);
-  out.schedule.reserve(n);
-  ReadyQueue queue(options_.policy, options_.queue_capacity,
-                   options_.overload);
+  std::vector<AdmittedWork> work(n);
+  std::vector<ServiceQueryRecord> records(n);
+  std::vector<ReadyEntry> dispatch;  // dispatch order
+  dispatch.reserve(n);
+  ReadyQueue queue(options.policy, options.queue_capacity, options.overload);
 
   // Closed-loop admission under a bounded queue. kBlock drains the queue
   // in capacity-sized windows (backpressure: the batch waits at the door,
@@ -371,88 +119,53 @@ ServiceBatchResult CompileService::CompileBatch(
   // Offer and the refused indices land as typed kUnavailable results —
   // under kShedLowestValue that keeps the best `capacity` submissions by
   // estimate-derived value.
-  std::vector<const QueryGraph*> ordered;
-  std::vector<ResourceLimits> per_query;
-  ordered.reserve(n);
-  per_query.reserve(n);
   auto drain = [&] {
-    while (!queue.empty()) {
-      const ReadyEntry entry = queue.PopNext();
-      out.schedule.push_back(entry.ticket);
-      ordered.push_back(queries[entry.ticket]);
-      per_query.push_back(out.admissions[entry.ticket].limits);
-    }
+    while (!queue.empty()) dispatch.push_back(queue.PopNext());
   };
   for (size_t i = 0; i < n; ++i) {
     COTE_CHECK(queries[i] != nullptr);
-    out.admissions[i] = admission_.Admit(*queries[i], -1);
-    if (out.admissions[i].estimated) ++out.estimates;
-    if (out.admissions[i].cache_hit) ++out.cache_hits;
-    ReadyEntry entry;
-    entry.ticket = i;
-    entry.predicted_seconds = out.admissions[i].predicted_seconds;
-    if (options_.overload == OverloadPolicy::kBlock) {
+    Submission s;
+    s.query = queries[i];
+    work[i] = core_.Admit(s);
+    const ReadyEntry entry = ServiceCore::MakeEntry(i, work[i]);
+    if (options.overload == OverloadPolicy::kBlock) {
       if (queue.Full()) drain();  // window boundary: free the whole queue
       queue.Push(entry);
       continue;
     }
     const OfferOutcome offer = queue.Offer(entry);
     if (offer.shed_incoming || offer.shed_existing) {
-      out.results[offer.shed.ticket] = StatusOr<OptimizeResult>(
-          Status::Unavailable(StrFormat(
-              "compile queue full (capacity %zu, policy %s)",
-              queue.capacity(), OverloadPolicyName(options_.overload))));
-      ++out.taxonomy.shed_queue_full;
+      const size_t shed = offer.shed.ticket;
+      records[shed] = core_.ShedRecord(offer.shed, work[shed], 0,
+                                       /*expired=*/false);
+      out.results[shed] = records[shed].status;
     }
   }
   drain();
 
   // The policy-fixed dispatch order goes to the pool's real worker
-  // threads with each query's own derived limits (the per-query-limits
-  // scheduler hook). Each query also gets its own DispatchTrace wired
-  // through the pool's observer hook, so the batch path sees the same
-  // observer-side trip evidence the open-loop Run sees per dispatch.
-  const size_t m = ordered.size();
-  std::vector<DispatchTrace> ordered_traces(m);
-  std::vector<void*> trace_ctx(m);
-  for (size_t k = 0; k < m; ++k) trace_ctx[k] = &ordered_traces[k];
-  BatchOptimizeResult batch = pool_.CompileBatch(
-      ordered, per_query, &DispatchTraceObserver, trace_ctx.data());
-  out.stats = std::move(batch.stats);
+  // threads; each item writes only its own input index.
+  out.stats = core_.pool().RunBatch(
+      dispatch.size(), [&](CompilationSession* session, size_t k) {
+        const size_t i = dispatch[k].ticket;
+        records[i] = core_.Dispatch(*session, dispatch[k], work[i],
+                                    /*tier=*/0, /*start_seconds=*/0,
+                                    &out.results[i]);
+      });
 
-  for (size_t k = 0; k < m; ++k) {
-    out.results[out.schedule[k]] = std::move(batch.results[k]);
-    out.traces[out.schedule[k]] = ordered_traces[k];
-  }
-
+  ServiceReport report;
+  report.records.reserve(n);
+  out.admissions.reserve(n);
+  out.traces.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const AdmissionOutcome& adm = out.admissions[i];
-    const bool shed =
-        out.results[i].status().code() == StatusCode::kUnavailable;
-    if (shed) continue;  // never compiled: no feedback, already counted
-    if (cache_ != nullptr && !adm.cache_hit && out.results[i].ok()) {
-      cache_->Insert(*queries[i], out.results[i]->stats.total_seconds,
-                     adm.predicted_seconds);
-    }
-    if (!adm.limits.Unlimited()) {
-      // The same trip predicate Run feeds the tracker with — degraded
-      // flag, budget-trip Status, or observer evidence — so per-class
-      // headroom feedback cannot diverge between execution paths.
-      const bool degraded = out.results[i].ok() && out.results[i]->degraded;
-      const Status status =
-          out.results[i].ok() ? Status() : out.results[i].status();
-      tracker_.Record(adm.query_class,
-                      IsBudgetTrip(degraded, status,
-                                   out.traces[i].budget_tripped));
-    }
-    if (!out.results[i].ok()) {
-      ++out.taxonomy.failed_permanent;
-    } else if (out.results[i]->degraded) {
-      ++out.taxonomy.served_degraded;
-    } else {
-      ++out.taxonomy.served_full;
-    }
+    out.admissions.push_back(work[i].admission);
+    out.traces.push_back({records[i].stage_events, records[i].budget_tripped});
+    core_.ApplyFeedback(*queries[i], std::move(records[i]), &report);
   }
+  for (const ReadyEntry& entry : dispatch) out.schedule.push_back(entry.ticket);
+  out.estimates = report.estimates;
+  out.cache_hits = report.cache_hits;
+  out.taxonomy = BuildTaxonomy(report.records);
   return out;
 }
 

@@ -3,208 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/clock.h"
-#include "common/status.h"
-#include "core/statement_cache.h"
-#include "core/time_model.h"
-#include "service/admission.h"
-#include "service/arrival_trace.h"
-#include "service/outcome.h"
-#include "service/scheduler.h"
-#include "service/trip_tracker.h"
-#include "session/session_pool.h"
+#include "service/service_core.h"
 
 namespace cote {
-
-/// Where the simulated timeline's per-query service time comes from.
-enum class ServiceTimeSource {
-  /// Measured compile wall seconds (through the injected clock). The
-  /// real-workload mode the bench uses.
-  kClock,
-  /// The admission-time prediction. Fully deterministic — the mode the
-  /// virtual-clock tests use, and the timeline every policy comparison
-  /// can replay bit-identically.
-  kEstimate,
-};
-
-struct ServiceQueryRecord;
-
-/// Per-terminal-record observer: invoked once per ticket with its final
-/// record, in the order records are committed (Run: event order; the
-/// async executor: ticket order at Drain). The service-level analogue of
-/// the pipeline's stage observer — the hook overload monitors watch shed
-/// and degradation decisions through, without polling reports.
-using ServiceOutcomeObserverFn = void (*)(void* ctx,
-                                          const ServiceQueryRecord& record);
-
-struct CompileServiceOptions {
-  OptimizerOptions optimizer;
-  PlanCounterOptions counter;
-  /// Calibrated model behind the admission estimates.
-  TimeModel time_model;
-  /// Simulated compile servers (and pool sessions). <= 0 selects
-  /// hardware concurrency, like SessionPool.
-  int num_workers = 1;
-  SchedulingPolicy policy = SchedulingPolicy::kFifo;
-  ServiceTimeSource time_source = ServiceTimeSource::kClock;
-  /// Clock behind every wall-time read the service makes; null selects
-  /// the process SystemClock. Tests inject a VirtualClock.
-  Clock* clock = nullptr;
-  /// When set, Run() advances this clock along the simulated timeline
-  /// (to each dispatch's finish time), so components sharing the clock
-  /// observe simulation time instead of wall time.
-  VirtualClock* drive_clock = nullptr;
-
-  /// Statement cache in front of admission (estimation is skipped on a
-  /// signature hit).
-  bool enable_cache = true;
-  size_t cache_capacity = 1024;
-  /// Cache admission gate: only statements whose *predicted* compile
-  /// seconds clear this threshold earn a cache slot (<= 0 admits all).
-  /// Cheap statements are cheap to recompile; caching them evicts the
-  /// entries whose reuse actually pays.
-  double cache_admission_threshold_seconds = 0;
-
-  AdmissionOptions admission;
-  TripTrackerOptions trip_tracker;
-
-  // ---- Overload resilience (DESIGN.md §16) -------------------------------
-  /// Ready-queue capacity; 0 = unbounded (every overload knob below is
-  /// then inert and the service behaves exactly as before this existed).
-  size_t queue_capacity = 0;
-  /// What a full queue does with the next submission. kBlock applies
-  /// backpressure (Run stops admitting until a dispatch frees a slot; the
-  /// async Submit blocks the caller); kReject and kShedLowestValue shed
-  /// with a typed kUnavailable record instead.
-  OverloadPolicy overload = OverloadPolicy::kBlock;
-  /// Re-enqueue budget per ticket: a compile that fails with a transient
-  /// Status (IsTransientFailure) is re-admitted at the next degradation
-  /// tier up to this many times before the failure becomes permanent.
-  /// Queue-wait patience itself comes from the admission LimitsPolicy
-  /// (patience_factor) — estimate-derived, like everything else here.
-  int max_retries = 0;
-  /// Optional terminal-record observer (see ServiceOutcomeObserverFn).
-  ServiceOutcomeObserverFn outcome_observer = nullptr;
-  void* outcome_observer_ctx = nullptr;
-  /// Async-only: with factor k > 0, AsyncCompileService::Drain acts as a
-  /// cancellation supervisor and externally trips (ResourceBudget::
-  /// TripExternal) any in-flight compile whose wall time exceeds
-  /// patience * k. 0 disables; ignored by the simulated front-end, whose
-  /// compiles run on the driver thread.
-  double external_cancel_factor = 0;
-  /// Supervisor poll interval while Drain waits (seconds).
-  double cancel_poll_seconds = 0.002;
-};
-
-/// Everything the service did for one submission: exactly one terminal
-/// record per ticket (retried attempts fold into the final one).
-struct ServiceQueryRecord {
-  size_t ticket = 0;  ///< index into the arrival trace
-  int worker = 0;     ///< simulated server that ran the compile; -1 = shed
-  int query_class = 0;
-
-  // Simulated timeline (trace seconds).
-  double arrival_seconds = 0;
-  double start_seconds = 0;
-  double finish_seconds = 0;
-  double queue_seconds = 0;  ///< start - arrival: what p95 is taken over
-  double service_seconds = 0;
-  double deadline_seconds = 0;  ///< copied from the submission; <= 0 none
-
-  // Admission outcome.
-  double predicted_seconds = 0;
-  bool estimated = false;
-  bool cache_hit = false;
-  bool cache_inserted = false;
-  double headroom_multiplier = 1.0;
-  ResourceLimits limits;
-
-  // Compile outcome.
-  Status status;  ///< OK, or why this compile failed (rest unaffected)
-  bool degraded = false;
-  BudgetLimit tripped_limit = BudgetLimit::kNone;
-  CompileStage degraded_stage = CompileStage::kNone;
-  /// Budget trip seen by the stage observer — also set on the kFail path,
-  /// where no degraded result exists to carry it.
-  bool budget_tripped = false;
-  /// Pipeline stage events attributed to this dispatch via observer ctx.
-  int stage_events = 0;
-
-  // Overload outcome (DESIGN.md §16).
-  /// The one terminal bucket this ticket landed in (== ClassifyRecord on
-  /// the rest of this record — stored so reports are self-describing).
-  ServiceOutcome outcome = ServiceOutcome::kServedFull;
-  /// Degradation tier the *final* attempt ran at (ServiceTier as int;
-  /// kShed for shed records).
-  int tier = 0;
-  /// Transient-failure re-enqueues this ticket consumed before the final
-  /// attempt.
-  int retries = 0;
-};
-
-/// Classifies a finished record into its terminal bucket. Pure function
-/// of the record — both service front-ends go through it, so the async
-/// taxonomy can be pinned field-for-field against the simulated oracle's.
-ServiceOutcome ClassifyRecord(const ServiceQueryRecord& record);
-
-/// Folds per-ticket outcomes (and retry attempts) into the burst
-/// taxonomy; TotalTickets() == records.size() by construction.
-OutcomeTaxonomy BuildTaxonomy(const std::vector<ServiceQueryRecord>& records);
-
-/// \brief Outcome of one open-loop Run() over an arrival trace.
-struct ServiceReport {
-  std::vector<ServiceQueryRecord> records;  ///< dispatch order
-  double makespan_seconds = 0;              ///< last finish, trace seconds
-  int64_t estimates = 0;
-  int64_t cache_hits = 0;
-  int64_t cache_insertions = 0;
-  int64_t degraded = 0;
-  int64_t failed = 0;  ///< records with a non-OK Status, sheds included
-  int64_t deadline_misses = 0;
-  /// One terminal bucket per ticket (BuildTaxonomy over `records`).
-  OutcomeTaxonomy taxonomy;
-  /// Coherent cache counters at the end of the run (all-zero when the
-  /// cache is disabled).
-  CacheStats cache_stats;
-  /// Trip-rate tracker state per observed class at the end of the run.
-  std::vector<TripRateTracker::ClassSnapshot> class_feedback;
-
-  double QueriesPerSecond() const {
-    return makespan_seconds > 0
-               ? static_cast<double>(records.size()) / makespan_seconds
-               : 0;
-  }
-  double MeanQueueSeconds() const;
-  /// p95 of queue_seconds over all records (0 when empty).
-  double P95QueueSeconds() const;
-  /// p95 of queue_seconds over *served* records only (outcome kServedFull
-  /// or kServedDegraded; 0 when none) — the overload bench's headline:
-  /// under kShedLowestValue this stays bounded at 2x load while the
-  /// unbounded-FIFO p95 grows with trace length.
-  double P95ServedQueueSeconds() const;
-};
-
-/// Per-dispatch observer context: counts stage events and latches budget
-/// trips for one queue entry only. Shared by every execution path — the
-/// simulated Run, the closed-loop CompileBatch (via the SessionPool's
-/// per-query observer-ctx hook), and the async executor — so all three
-/// gather identical trip evidence for the tracker.
-struct DispatchTrace {
-  int events = 0;
-  bool budget_tripped = false;
-};
-
-/// The StageObserverFn that fills a DispatchTrace (ctx points at one).
-void DispatchTraceObserver(void* ctx, const StageEvent& event);
-
-/// Cache admission policy shared by both service front-ends: a statement
-/// earns a cache slot only when its predicted compile seconds reach the
-/// threshold `ctx` points at (a double — each service points it at its
-/// own options member, so the gate stays adjustable without allocation).
-bool ThresholdAdmission(void* ctx, uint64_t signature, double cost_seconds);
 
 /// Closed-loop batch outcome: compile results in *input* order, the
 /// policy's dispatch order alongside.
@@ -253,8 +56,8 @@ struct ServiceBatchResult {
 /// latency is start − arrival.
 ///
 /// CompileBatch() is the closed-loop sibling: admit and order the whole
-/// batch by policy, then compile it on the pool's real threads with
-/// per-query limits (the SessionPool scheduler hook).
+/// batch by policy, then run the same ServiceCore::Dispatch per query on
+/// the pool's real threads.
 ///
 /// Overload resilience (DESIGN.md §16): with queue_capacity > 0 the ready
 /// queue is bounded and the OverloadPolicy decides what a full queue does
@@ -273,15 +76,8 @@ class CompileService {
  public:
   explicit CompileService(CompileServiceOptions options = {});
 
-  // Neither copyable nor movable — and deliberately *explicitly* so: the
-  // constructor wires `admission_` to `&tracker_` and the cache's
-  // admission policy to `&options_.cache_admission_threshold_seconds`,
-  // both pointers into this object's own members. A moved-from service
-  // would leave the cache policy and the admission stage reading freed
-  // (or stale) memory through those aliases. Member types already forbid
-  // the implicit operations today, but that is an accident of their
-  // composition; deleting them here makes the self-aliasing constraint
-  // part of the contract (static-asserted in service_test.cc).
+  // Neither copyable nor movable: the core it owns points into itself
+  // (static-asserted in service_test.cc).
   CompileService(const CompileService&) = delete;
   CompileService& operator=(const CompileService&) = delete;
   CompileService(CompileService&&) = delete;
@@ -299,23 +95,20 @@ class CompileService {
 
   /// Closed-loop batch: everything is ready at once, the policy orders
   /// it, the pool compiles it concurrently under per-query derived
-  /// limits. Results in input order.
+  /// limits. Results in input order; feedback applies in input order once
+  /// the whole batch has compiled. The pool's threads read the clock, so
+  /// it must be thread-safe.
   ServiceBatchResult CompileBatch(
       const std::vector<const QueryGraph*>& queries);
 
-  const CompileServiceOptions& options() const { return options_; }
+  const CompileServiceOptions& options() const { return core_.options(); }
   /// Null when the cache is disabled.
-  CompileTimeCache* cache() { return cache_.get(); }
-  const TripRateTracker& tracker() const { return tracker_; }
-  SessionPool& pool() { return pool_; }
+  CompileTimeCache* cache() { return core_.cache(); }
+  const TripRateTracker& tracker() const { return core_.tracker(); }
+  SessionPool& pool() { return core_.pool(); }
 
  private:
-  CompileServiceOptions options_;
-  Clock* clock_;  // never null after construction
-  std::unique_ptr<CompileTimeCache> cache_;  // null when disabled
-  TripRateTracker tracker_;
-  AdmissionStage admission_;
-  SessionPool pool_;
+  ServiceCore core_;
 };
 
 }  // namespace cote

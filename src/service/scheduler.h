@@ -143,9 +143,7 @@ class ReadyQueue {
     size_t slot = 0;
   };
 
-  SchedulingPolicy policy() const { return policy_; }
   size_t capacity() const { return capacity_; }  ///< 0 = unbounded
-  OverloadPolicy overload_policy() const { return overload_; }
   bool empty() const { return heap_.empty(); }
   /// Queue depth, O(1).
   size_t size() const { return heap_.size(); }

@@ -86,16 +86,4 @@ std::vector<CompileTimeEstimate> CompilationSession::EstimateBatch(
   return results;
 }
 
-std::vector<CompileTimeEstimate> CompilationSession::EstimateBatch(
-    const std::vector<const QueryGraph*>& queries,
-    const TimeModel& time_model, const ResourceLimits& limits) {
-  std::vector<CompileTimeEstimate> results;
-  results.reserve(queries.size());
-  for (const QueryGraph* q : queries) {
-    results.push_back(q == nullptr ? CompileTimeEstimate{}
-                                   : Estimate(*q, time_model, limits));
-  }
-  return results;
-}
-
 }  // namespace cote

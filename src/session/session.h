@@ -109,11 +109,6 @@ class CompilationSession {
       const std::vector<const QueryGraph*>& queries,
       const TimeModel& time_model);
 
-  /// Governed serial estimate batch (per-query limits, as above).
-  std::vector<CompileTimeEstimate> EstimateBatch(
-      const std::vector<const QueryGraph*>& queries,
-      const TimeModel& time_model, const ResourceLimits& limits);
-
   /// Installs (or removes, with fn = nullptr) a per-stage observer on the
   /// underlying pipeline; see CompilationPipeline::SetStageObserver.
   void SetStageObserver(StageObserverFn fn, void* ctx) {

@@ -104,50 +104,26 @@ class SessionPool {
   BatchOptimizeResult CompileBatch(
       const std::vector<const QueryGraph*>& queries);
 
-  /// Governed plan batch: `limits` applies per query (each compile re-arms
-  /// its worker's budget), so a runaway query degrades or fails at its own
-  /// index while every other result is bit-identical to the ungoverned
-  /// batch — per-index isolation under concurrency.
-  BatchOptimizeResult CompileBatch(
-      const std::vector<const QueryGraph*>& queries,
-      const ResourceLimits& limits);
-
-  /// Governed plan batch with *per-query* limits: `per_query[i]` arms the
-  /// budget for `queries[i]`. This is the scheduler hook the compile
-  /// service uses — each query runs under limits derived from its own
-  /// estimate, so one under-estimated query degrades at its index without
-  /// loosening or tightening anyone else's budget. Sizes must match.
-  BatchOptimizeResult CompileBatch(
-      const std::vector<const QueryGraph*>& queries,
-      const std::vector<ResourceLimits>& per_query);
-
-  /// Per-query-limits batch that additionally attributes pipeline stage
-  /// events: the claiming worker installs `observer` with
-  /// `per_query_observer_ctx[i]` on its session for exactly the span of
-  /// `queries[i]`'s compile, then clears it — so each query's stage
-  /// events (and any budget-trip flag they carry) land in that query's
-  /// own context object no matter which worker ran it or in what order.
-  /// The compile service uses this to gather the same observer-side trip
-  /// evidence on the batch path that the open-loop Run gathers per
-  /// dispatch. `observer` may be null (contexts then unused); when given,
-  /// `per_query_observer_ctx` must have one slot per query, and each ctx
-  /// must be written by no one else while the batch runs.
-  BatchOptimizeResult CompileBatch(
-      const std::vector<const QueryGraph*>& queries,
-      const std::vector<ResourceLimits>& per_query, StageObserverFn observer,
-      void* const* per_query_observer_ctx);
-
   /// Estimate-compiles the batch (§3 mode); results in input order. Null
   /// pointers yield a default (all-zero) estimate.
   BatchEstimateResult EstimateBatch(
       const std::vector<const QueryGraph*>& queries,
       const TimeModel& time_model);
 
-  /// Governed estimate batch (per-query limits; tripped queries come back
-  /// flagged degraded at their index).
-  BatchEstimateResult EstimateBatch(
-      const std::vector<const QueryGraph*>& queries,
-      const TimeModel& time_model, const ResourceLimits& limits);
+  /// Runs `per_item(session, i)` exactly once for every i in [0, n) on
+  /// the pool's workers, each call on its worker's own session, and
+  /// merges the per-session stats deltas. The runner under both batch
+  /// modes above and under CompileService::CompileBatch. `per_item` must
+  /// write only state private to index i.
+  template <typename PerItem>
+  BatchStats RunBatch(size_t n, const PerItem& per_item) {
+    return RunBatch(
+        n,
+        [](const void* ctx, CompilationSession* session, size_t i) {
+          (*static_cast<const PerItem*>(ctx))(session, i);
+        },
+        &per_item);
+  }
 
   int num_workers() const { return static_cast<int>(sessions_.size()); }
 
@@ -156,12 +132,10 @@ class SessionPool {
   CompilationSession& session(int worker) { return *sessions_[worker]; }
 
  private:
-  /// Spawns up to `n` workers draining the cursor through `per_item` and
-  /// merges the per-session stats deltas. PerItem is
-  /// void(CompilationSession*, size_t index), called exactly once per
-  /// index in [0, n).
-  template <typename PerItem>
-  BatchStats RunBatch(size_t n, const PerItem& per_item);
+  using ItemFn = void (*)(const void* ctx, CompilationSession* session,
+                          size_t index);
+  /// Spawns up to `n` workers draining the cursor through `per_item`.
+  BatchStats RunBatch(size_t n, ItemFn per_item, const void* ctx);
 
   std::vector<std::unique_ptr<CompilationSession>> sessions_;
 };

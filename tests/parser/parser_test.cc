@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 namespace cote {
 namespace {
 
@@ -93,6 +97,8 @@ struct BadSql {
   const char* why;
 };
 
+void PrintTo(const BadSql& c, std::ostream* os) { *os << c.why; }
+
 class ParserErrorTest : public ::testing::TestWithParam<BadSql> {};
 
 TEST_P(ParserErrorTest, Rejected) {
@@ -116,7 +122,14 @@ INSTANTIATE_TEST_SUITE_P(
         BadSql{"SELECT COUNT( FROM t", "unclosed aggregate"},
         BadSql{"SELECT * FROM t WHERE a LIKE 5", "LIKE needs string"},
         BadSql{"SELECT * FROM t, WHERE a = 1", "dangling comma"},
-        BadSql{"SELECT * FROM t ORDER BY a 5", "trailing garbage"}));
+        BadSql{"SELECT * FROM t ORDER BY a 5", "trailing garbage"}),
+    [](const ::testing::TestParamInfo<BadSql>& info) {
+      std::string name = info.param.why;
+      for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace cote

@@ -457,7 +457,7 @@ TEST_F(ServiceVirtualTest, TripFeedbackWidensBudgetsUntilTheClassStopsTripping) 
   EXPECT_EQ(r.class_feedback[0].query_class, ServiceQueryClass(q));
   EXPECT_GT(r.class_feedback[0].multiplier, 1.0);
   EXPECT_GT(r.class_feedback[0].tripped, 0);
-  // Every compile was armed (derive_limits on, no cache path).
+  // Every compile was armed (limits always derived, no cache path).
   EXPECT_EQ(r.class_feedback[0].armed, static_cast<int64_t>(subs.size()));
 }
 
@@ -738,6 +738,24 @@ TEST_F(ServicePoolTest, RepeatBatchHitsTheCacheInsteadOfEstimating) {
   ServiceBatchResult second = service.CompileBatch(queries_);
   EXPECT_EQ(second.cache_hits, static_cast<int64_t>(queries_.size()));
   EXPECT_EQ(second.estimates, 0);
+}
+
+TEST_F(ServicePoolTest, RepeatBatchUnderEstimateSourcePredictsIdentically) {
+  // kEstimate is the deterministic mode: the batch path must cache the
+  // record's service seconds (the prediction), not a wall-clock reading,
+  // so a cache hit answers with exactly what the first batch predicted.
+  CompileServiceOptions o = DeterministicOptions();
+  o.num_workers = 2;
+  CompileService service(o);
+  ServiceBatchResult first = service.CompileBatch(queries_);
+  ServiceBatchResult second = service.CompileBatch(queries_);
+  ASSERT_EQ(second.admissions.size(), first.admissions.size());
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    EXPECT_TRUE(second.admissions[i].cache_hit) << i;
+    EXPECT_EQ(second.admissions[i].predicted_seconds,
+              first.admissions[i].predicted_seconds)
+        << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

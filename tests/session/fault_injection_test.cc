@@ -350,7 +350,12 @@ TEST(SessionPoolFaultTest, MixedFaultsAndBudgetTripsStayPerIndex) {
     script.FailAt(kFaultPlanBind, qs[i], Status::Internal("scripted"),
                   /*occurrence=*/0);
   }
-  BatchOptimizeResult got = pool.CompileBatch(qs, limits);
+  BatchOptimizeResult got{std::vector<StatusOr<OptimizeResult>>(
+                              qs.size(), Status::Internal("not compiled")),
+                          {}};
+  got.stats = pool.RunBatch(qs.size(), [&](CompilationSession* s, size_t i) {
+    got.results[i] = s->Optimize(*qs[i], limits);
+  });
 
   // Serial governed reference on one fresh session (same script active:
   // subject rules are occurrence 0, so both runs see identical faults).

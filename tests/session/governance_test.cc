@@ -433,7 +433,12 @@ TEST(GovernedSessionPoolTest, PoolMatchesSerialGovernedBatch) {
   ResourceLimits limits;
   limits.max_memo_entries = 64;  // degrades big star queries, spares the rest
   SessionPool pool(4, SmallOptions());
-  BatchOptimizeResult got = pool.CompileBatch(qs, limits);
+  BatchOptimizeResult got{std::vector<StatusOr<OptimizeResult>>(
+                              qs.size(), Status::Internal("not compiled")),
+                          {}};
+  got.stats = pool.RunBatch(qs.size(), [&](CompilationSession* s, size_t i) {
+    got.results[i] = s->Optimize(*qs[i], limits);
+  });
 
   CompilationSession serial(SmallOptions());
   auto reference = serial.CompileBatch(qs, limits);

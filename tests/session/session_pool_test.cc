@@ -301,7 +301,13 @@ TEST(SessionPoolTest, PerQueryLimitsApplyAtTheirOwnIndex) {
   }
 
   SessionPool pool(4, SmallOptions());
-  BatchOptimizeResult governed = pool.CompileBatch(qs, per_query);
+  BatchOptimizeResult governed{std::vector<StatusOr<OptimizeResult>>(
+                                   qs.size(), Status::Internal("not compiled")),
+                               {}};
+  governed.stats =
+      pool.RunBatch(qs.size(), [&](CompilationSession* s, size_t i) {
+        governed.results[i] = s->Optimize(*qs[i], per_query[i]);
+      });
   SessionPool plain_pool(4, SmallOptions());
   BatchOptimizeResult plain = plain_pool.CompileBatch(qs);
 
@@ -318,14 +324,6 @@ TEST(SessionPoolTest, PerQueryLimitsApplyAtTheirOwnIndex) {
       ExpectSameOptimize(*governed.results[i], *plain.results[i]);
     }
   }
-}
-
-TEST(SessionPoolTest, PerQueryLimitsSizeMismatchIsFatal) {
-  Workload w = LinearWorkload();
-  std::vector<const QueryGraph*> qs = Pointers(w);
-  SessionPool pool(2, SmallOptions());
-  std::vector<ResourceLimits> wrong(qs.size() - 1);
-  EXPECT_DEATH(pool.CompileBatch(qs, wrong), "");
 }
 
 TEST(SessionPoolTest, SharedCacheEvictionUnderContention) {

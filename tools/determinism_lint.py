@@ -128,8 +128,13 @@ DET_FUNCTIONS = {
     },
     "src/service/compile_service.cc": {
         "CompileService::Run": (),
+    },
+    # The shared core: feedback (Run's commits and Drain's ticket-order
+    # pass both go through ApplyFeedback) and record classification.
+    "src/service/service_core.cc": {
         "ClassifyRecord": (),
         "BuildTaxonomy": (),
+        "ServiceCore::ApplyFeedback": (),
     },
     # Cross-thread cancellation wire: the trip itself must stay a pure
     # CAS on the atomic flag — no clock reads, no randomness — so a

@@ -141,18 +141,20 @@ HOT_FUNCTIONS = {
     "src/service/arrival_trace.cc": [
         "NextGapSeconds",  # per-arrival inversion sample, pure arithmetic
     ],
-    "src/service/compile_service.cc": [
+    # Service core: Dispatch is the per-dispatch body of every execution
+    # path — the simulated Run, the batch path on the pool's threads, and
+    # each async worker between its two mutex scopes (pop → compile →
+    # publish); any heap traffic here is multiplied by every dispatch.
+    "src/service/service_core.cc": [
+        "Dispatch",
         "DispatchTraceObserver",  # runs inside the compile per stage event
         "ThresholdAdmission",     # runs under the cache mutex per insert
         "ClassifyRecord",         # per-terminal-record bucket map, pure
     ],
-    # Async executor: CompileEntry is the per-dispatch body every worker
-    # thread runs between the two mutex scopes (pop → compile → publish);
-    # any heap traffic here is multiplied by every live dispatch, so it
-    # must stay as pure as the simulated Run's dispatch body.
-    "src/service/async_executor.cc": [
-        "CompileEntry",
-    ],
+    # The loops around the core allocate per run or burst (records, queue,
+    # burst vectors), never per dispatch: no hot function of their own.
+    "src/service/compile_service.cc": [],
+    "src/service/async_executor.cc": [],
     # Query completion: runs once per plan-mode compile; its counting twin
     # runs once per estimate and must never touch the heap.
     "src/optimizer/completion.cc": [
