@@ -135,6 +135,7 @@ void PlanCounter::InitializeEntry(TableSet s) {
   // walks only the set's own edges, in the ascending index order the old
   // full-list scan produced.
   graph_->InternalPredicates(s, &pred_scratch_);
+  state.equiv.Reset(graph_->JoinColumnSlots());
   for (int pi : pred_scratch_) {
     const JoinPredicate& p = graph_->join_predicates()[pi];
     if (p.kind != JoinKind::kInner) continue;

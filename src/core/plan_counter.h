@@ -138,9 +138,9 @@ class PlanCounter : public JoinVisitor {
     uint64_t first_inner_bits = 0;
 
     /// Returns the state to its just-constructed condition while keeping
-    /// the capacity of every property list (vector clear() retains
-    /// storage; the equivalence keeps its bucket array), so a recycled
-    /// arena slot rebuilds without re-growing.
+    /// the capacity of every property list and of the equivalence's
+    /// representative array (vector clear() retains storage), so a
+    /// recycled arena slot rebuilds without re-growing.
     void Clear() {
       equiv.Clear();
       cardinality = -1;

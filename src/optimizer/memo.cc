@@ -19,6 +19,7 @@ MemoEntry::MemoEntry(TableSet set, const QueryGraph& graph,
   // internal-predicate gather walks only the set's own edges (ascending
   // index order, matching the original full-list scan).
   graph.InternalPredicates(set, pred_scratch);
+  equiv_.Reset(graph.JoinColumnSlots());
   for (int pi : *pred_scratch) {
     const JoinPredicate& p = graph.join_predicates()[pi];
     if (p.kind != JoinKind::kInner) continue;

@@ -1,6 +1,7 @@
 #include "query/query_graph.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 #include "common/str_util.h"
@@ -16,7 +17,6 @@ int QueryGraph::AddTableRef(const Table* table, std::string alias) {
   ref.table = table;
   ref.alias = alias.empty() ? table->name() : std::move(alias);
   tables_.push_back(std::move(ref));
-  global_equiv_valid_.Store(false);
   adj_valid_.Store(false);
   return num_tables() - 1;
 }
@@ -29,40 +29,40 @@ void QueryGraph::EnsureAdjacency() const {
   if (adj_valid_.Load()) return;
   const int n = num_tables();
   const int num_preds = static_cast<int>(join_preds_.size());
+  const int words = (num_preds + 63) / 64;
   adj_.adj.assign(static_cast<size_t>(n), 0);
-  adj_.pair_offset.assign(static_cast<size_t>(n) * n + 1, 0);
-  adj_.pair_preds.assign(static_cast<size_t>(num_preds), 0);
+  adj_.pred_words = words;
+  adj_.incident.assign(static_cast<size_t>(n) * words, 0);
   adj_.inner_only_mask = 0;
   adj_.outer_pred_indices.clear();
+  adj_.global_equiv = ColumnEquivalence();
 
   for (int t = 0; t < n; ++t) {
     if (tables_[t].inner_only) adj_.inner_only_mask |= BitAt(t);
   }
-  // Counting pass, then prefix sums, then a stable fill — predicate
-  // indices stay ascending within each table pair because the fill scans
-  // the predicate list in order.
+  std::vector<ColumnRef> inner_cols;
   for (int i = 0; i < num_preds; ++i) {
     const JoinPredicate& p = join_preds_[i];
     int a = p.left.table, b = p.right.table;
-    // Predicates referencing tables outside the FROM list would corrupt
-    // the CSR layout; catch them here, once, when the cache is built.
+    // Predicates referencing tables outside the FROM list would index the
+    // incidence bitsets out of range; catch them here, once, when the
+    // cache is built.
     COTE_CHECK(a >= 0 && a < n);
     COTE_CHECK(b >= 0 && b < n);
     COTE_CHECK_NE(a, b);
     adj_.adj[a] |= BitAt(b);
     adj_.adj[b] |= BitAt(a);
-    ++adj_.pair_offset[PairKey(a, b) + 1];
+    const uint64_t bit = uint64_t{1} << (i % 64);
+    adj_.incident[static_cast<size_t>(a) * words + i / 64] |= bit;
+    adj_.incident[static_cast<size_t>(b) * words + i / 64] |= bit;
     if (p.kind == JoinKind::kLeftOuter) adj_.outer_pred_indices.push_back(i);
+    if (p.kind == JoinKind::kInner) {
+      inner_cols.push_back(p.left);
+      inner_cols.push_back(p.right);
+      adj_.global_equiv.AddEquivalence(p.left, p.right);
+    }
   }
-  for (size_t k = 1; k < adj_.pair_offset.size(); ++k) {
-    adj_.pair_offset[k] += adj_.pair_offset[k - 1];
-  }
-  std::vector<int32_t> cursor(adj_.pair_offset.begin(),
-                              adj_.pair_offset.end() - 1);
-  for (int i = 0; i < num_preds; ++i) {
-    const JoinPredicate& p = join_preds_[i];
-    adj_.pair_preds[cursor[PairKey(p.left.table, p.right.table)]++] = i;
-  }
+  adj_.join_columns.Assign(std::move(inner_cols));
   adj_valid_.Store(true);
 }
 
@@ -99,39 +99,37 @@ void QueryGraph::ConnectingPredicates(TableSet s, TableSet l,
   }
   EnsureAdjacency();
   const AdjacencyCache& adj = adjacency();
-  const uint64_t lbits = l.bits();
-  for (int a : s) {
-    for (int b : TableSet(adj.adj[a] & lbits)) {
-      const int key = PairKey(a, b);
-      for (int32_t i = adj.pair_offset[key]; i < adj.pair_offset[key + 1];
-           ++i) {
-        out->push_back(adj.pair_preds[i]);
-      }
+  const int words = adj.pred_words;
+  const uint64_t* incident = adj.incident.data();
+  // Every predicate has exactly two endpoints and s, l are disjoint, so a
+  // predicate incident to both sides crosses the cut. Ascending predicate
+  // order is part of the contract (merge-candidate construction depends
+  // on it); the word-by-word bit walk yields it directly.
+  for (int w = 0; w < words; ++w) {
+    uint64_t in_s = 0, in_l = 0;
+    for (int a : s) in_s |= incident[a * words + w];
+    for (int b : l) in_l |= incident[b * words + w];
+    for (uint64_t x = in_s & in_l; x != 0; x &= x - 1) {
+      out->push_back(w * 64 + std::countr_zero(x));
     }
   }
-  // Ascending predicate order is part of the contract (merge-candidate
-  // construction depends on it); crossing lists are tiny, so this sort is
-  // effectively a couple of swaps.
-  std::sort(out->begin(), out->end());
 }
 
 void QueryGraph::InternalPredicates(TableSet s, std::vector<int>* out) const {
   EnsureAdjacency();
   const AdjacencyCache& adj = adjacency();
   out->clear();
-  const uint64_t sbits = s.bits();
-  for (int a : s) {
-    // Only pairs (a, b) with a < b, so each internal edge is seen once.
-    uint64_t higher = adj.adj[a] & sbits & ~((uint64_t{2} << a) - 1);
-    for (int b : TableSet(higher)) {
-      const int key = PairKey(a, b);
-      for (int32_t i = adj.pair_offset[key]; i < adj.pair_offset[key + 1];
-           ++i) {
-        out->push_back(adj.pair_preds[i]);
-      }
+  const int words = adj.pred_words;
+  const uint64_t* incident = adj.incident.data();
+  const TableSet outside(AllTables().bits() & ~s.bits());
+  for (int w = 0; w < words; ++w) {
+    uint64_t in_s = 0, in_outside = 0;
+    for (int a : s) in_s |= incident[a * words + w];
+    for (int b : outside) in_outside |= incident[b * words + w];
+    for (uint64_t x = in_s & ~in_outside; x != 0; x &= x - 1) {
+      out->push_back(w * 64 + std::countr_zero(x));
     }
   }
-  std::sort(out->begin(), out->end());
 }
 
 bool QueryGraph::AreConnected(TableSet s, TableSet l) const {
@@ -178,23 +176,13 @@ double QueryGraph::LocalSelectivity(int t) const {
 }
 
 const ColumnEquivalence& QueryGraph::GlobalEquivalence() const {
-  if (global_equiv_valid_.Load()) return global_equiv_cache();
-  {
-    MutexLock lock(cache_mu_.mu);
-    if (!global_equiv_valid_.Load()) {
-      global_equiv_ = ColumnEquivalence();
-      for (const JoinPredicate& p : join_preds_) {
-        if (p.kind == JoinKind::kInner) {
-          global_equiv_.AddEquivalence(p.left, p.right);
-        }
-      }
-      // Flattened so warm Find() lookups never path-halve — the shared
-      // instance stays write-free under concurrent readers.
-      global_equiv_.Flatten();
-      global_equiv_valid_.Store(true);
-    }
-  }
-  return global_equiv_cache();
+  EnsureAdjacency();
+  return adjacency().global_equiv;
+}
+
+const ColumnSlots& QueryGraph::JoinColumnSlots() const {
+  EnsureAdjacency();
+  return adjacency().join_columns;
 }
 
 int QueryGraph::DeriveTransitiveClosure() {
@@ -230,8 +218,7 @@ int QueryGraph::DeriveTransitiveClosure() {
     }
   }
   if (added > 0) {
-    global_equiv_valid_.Store(false);
-    // The new derived predicates are join edges too: the adjacency CSR
+    // The new derived predicates are join edges too: the join-graph cache
     // must pick them up (it previously went stale here).
     adj_valid_.Store(false);
   }

@@ -33,17 +33,17 @@ struct QueryTableRef {
 /// optimizer and the compilation-time estimator.
 ///
 /// Thread safety: concurrent const access from multiple threads is safe —
-/// the lazy adjacency / global-equivalence caches are built under an
-/// internal per-graph mutex with double-checked atomic valid flags, and
-/// the global equivalence is flattened at build so warm lookups are pure
-/// reads. (A SessionPool batch may contain the same graph pointer many
-/// times.) Mutating a graph while any other thread accesses it is a data
-/// race, as for any container. The cache *builds* are statically checked
-/// (`adj_` / `global_equiv_` are COTE_GUARDED_BY the cache mutex); the
-/// warm unguarded reads go through exactly two annotated escape points
-/// (adjacency() / global_equiv_cache()) whose safety argument is the
-/// acquire/release CacheFlag publication, which the static analysis
-/// cannot model — see DESIGN.md §13.
+/// the lazy join-graph cache (adjacency, predicate incidence, join-column
+/// slots, global equivalence) is built under an internal per-graph mutex
+/// with a double-checked atomic valid flag, and every structure in it is
+/// read-only once published. (A SessionPool batch may contain the same
+/// graph pointer many times.) Mutating a graph while any other thread
+/// accesses it is a data race, as for any container. The cache *build* is
+/// statically checked (`adj_` is COTE_GUARDED_BY the cache mutex); the
+/// warm unguarded reads go through exactly one annotated escape point
+/// (adjacency()) whose safety argument is the acquire/release CacheFlag
+/// publication, which the static analysis cannot model — see DESIGN.md
+/// §13.
 class QueryGraph {
  public:
   QueryGraph() = default;
@@ -55,7 +55,6 @@ class QueryGraph {
   void AddJoinPredicate(JoinPredicate pred) {
     join_preds_.push_back(pred);
     adj_valid_.Store(false);
-    global_equiv_valid_.Store(false);
   }
   void AddLocalPredicate(LocalPredicate pred) {
     local_preds_.push_back(pred);
@@ -109,15 +108,16 @@ class QueryGraph {
 
   /// Allocation-free overload for the enumeration hot path: clears `*out`
   /// and fills it with the connecting predicate indices in ascending
-  /// order. Uses the precomputed per-table-pair predicate lists, so the
-  /// cost is proportional to |s| plus the number of crossing edges — not
-  /// to the total predicate count.
+  /// order. Intersects the precomputed per-table predicate-incidence
+  /// bitsets of the two sides, so indices come out ascending without a
+  /// sort and the cost is (|s| + |l|) words per 64 predicates.
   void ConnectingPredicates(TableSet s, TableSet l, std::vector<int>* out)
       const;
 
   /// Indices (ascending) of predicates with BOTH sides inside `s` — the
   /// predicates applied within a MEMO entry (used to derive the entry's
-  /// column equivalence without scanning the whole predicate list).
+  /// column equivalence without scanning the whole predicate list). Same
+  /// bitset walk: incident to `s` and to no table outside it.
   void InternalPredicates(TableSet s, std::vector<int>* out) const;
 
   /// True if at least one join predicate crosses the cut (s, l).
@@ -134,6 +134,12 @@ class QueryGraph {
 
   /// Column equivalence induced by ALL inner-join predicates of the query.
   const ColumnEquivalence& GlobalEquivalence() const;
+
+  /// The query's numbering of the distinct columns of its inner join
+  /// predicates (K slots). Per-entry equivalences bind to it
+  /// (ColumnEquivalence::Reset), so it must outlive them; it is read-only
+  /// once built.
+  const ColumnSlots& JoinColumnSlots() const;
 
   // ---- Outer-join / eligibility --------------------------------------------
 
@@ -152,18 +158,22 @@ class QueryGraph {
   std::string ToString() const;
 
  private:
-  /// Precomputed join-graph adjacency (built lazily, invalidated whenever
+  /// Precomputed join-graph structure (built lazily, invalidated whenever
   /// tables or predicates change). `adj[t]` is the neighbor bitmask of
-  /// table t; the per-table-pair predicate indices live in a CSR layout
-  /// (`pair_offset` indexes by a*n+b with a < b into `pair_preds`), so
-  /// connectivity queries are bitwise operations and predicate lookups
-  /// touch only the crossing pairs.
+  /// table t, so connectivity queries are bitwise operations;
+  /// `incident[t * pred_words + w]` is word w of the bitset of predicate
+  /// indices with an endpoint in table t, so predicate gathers are word
+  /// ORs and ANDs that yield indices in ascending order.
   struct AdjacencyCache {
     std::vector<uint64_t> adj;
-    std::vector<int32_t> pair_offset;
-    std::vector<int32_t> pair_preds;
+    int pred_words = 0;
+    std::vector<uint64_t> incident;
     uint64_t inner_only_mask = 0;
     std::vector<int> outer_pred_indices;  ///< kLeftOuter predicate indices
+    /// Columns of the inner join predicates, numbered ascending.
+    ColumnSlots join_columns;
+    /// Standalone (self-numbered), so copying the graph copies it whole.
+    ColumnEquivalence global_equiv;
   };
   void EnsureAdjacency() const COTE_EXCLUDES(cache_mu_.mu);
   /// Unguarded warm read of the published adjacency cache. Safe only
@@ -175,16 +185,6 @@ class QueryGraph {
   const AdjacencyCache& adjacency() const COTE_NO_THREAD_SAFETY_ANALYSIS {
     return adj_;
   }
-  /// Same escape for the flattened global equivalence (write-free after
-  /// publication; see GlobalEquivalence()).
-  const ColumnEquivalence& global_equiv_cache() const
-      COTE_NO_THREAD_SAFETY_ANALYSIS {
-    return global_equiv_;
-  }
-  int PairKey(int a, int b) const {
-    return (a < b ? a : b) * num_tables() + (a < b ? b : a);
-  }
-
   std::vector<QueryTableRef> tables_;
   std::vector<JoinPredicate> join_preds_;
   std::vector<LocalPredicate> local_preds_;
@@ -217,8 +217,6 @@ class QueryGraph {
     CacheMutex& operator=(const CacheMutex&) { return *this; }
   };
 
-  mutable ColumnEquivalence global_equiv_ COTE_GUARDED_BY(cache_mu_.mu);
-  mutable CacheFlag global_equiv_valid_;
   mutable AdjacencyCache adj_ COTE_GUARDED_BY(cache_mu_.mu);
   mutable CacheFlag adj_valid_;
   mutable CacheMutex cache_mu_;

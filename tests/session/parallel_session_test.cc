@@ -20,6 +20,8 @@
 
 #include "common/fault_points.h"
 #include "common/resource_budget.h"
+#include "optimizer/plan/plan.h"
+#include "query/query_builder.h"
 #include "session/session.h"
 #include "tests/common/fault_injection.h"
 #include "workload/workload.h"
@@ -124,6 +126,46 @@ TEST(SessionParallelTest, WarmCompilesAndEstimatesStayExact) {
       ExpectSameEstimate(parallel.Estimate(q, model),
                          serial.Estimate(q, model));
     }
+  }
+}
+
+TEST(SessionParallelTest, DeepEquivalenceClassesStayExactAcrossWorkers) {
+  // No transitive closure: T3.c1 = T4.c1 first, then T0.c1 = T3.c1, so
+  // t4.c1 reaches its class representative t0.c1 only through t3.c1 — two
+  // levels deep in a union-find. Every worker of a rank reads the
+  // equivalences of lower-rank entries at once (merge-join canonicalization
+  // of both inputs, the redundant-inner check), so those reads must be
+  // pure; the ORDER BY on t4.c1 and the merge joins on c1 route them
+  // through the deep member.
+  auto catalog = MakeSyntheticCatalog(6);
+  QueryBuilder qb(*catalog);
+  for (int t = 0; t < 6; ++t) {
+    qb.AddTable("T" + std::to_string(t), "t" + std::to_string(t));
+  }
+  qb.Join("t3", "c1", "t4", "c1")
+      .Join("t0", "c1", "t3", "c1")
+      .Join("t0", "c2", "t1", "c2")
+      .Join("t1", "c3", "t2", "c3")
+      .Join("t2", "c4", "t5", "c4")
+      .Join("t4", "c2", "t5", "c2");
+  qb.OrderBy({{"t4", "c1"}});
+  auto built = qb.Build();
+  ASSERT_TRUE(built.ok());
+  const QueryGraph& q = *built;
+
+  TimeModel model;
+  CompilationSession serial(ParallelOptions(1));
+  CompilationSession parallel(ParallelOptions(3));
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round=" + std::to_string(round));
+    auto s = serial.Optimize(q);
+    auto p = parallel.Optimize(q);
+    ASSERT_TRUE(s.ok() && p.ok());
+    EXPECT_EQ(p->stats.parallel_workers, 3);
+    ExpectSameOptimize(*p, *s);
+    EXPECT_EQ(p->stats.best_cost, s->stats.best_cost);
+    EXPECT_EQ(PrintPlan(p->best_plan), PrintPlan(s->best_plan));
+    ExpectSameEstimate(parallel.Estimate(q, model), serial.Estimate(q, model));
   }
 }
 

@@ -173,11 +173,13 @@ HOT_FUNCTIONS = {
         "ActiveInterests",
         "Useful",
     ],
-    # Union-find: Root runs per canonicalized column; AddEquivalence runs
-    # per internal predicate per entry (quiescent after the first run).
+    # Flat column equivalence: Reset binds an entry's K representatives
+    # and AddEquivalence / Merge run per internal predicate per entry
+    # (Find itself is a header-inline slot lookup plus one load).
     "src/query/equivalence.cc": [
-        "Root",
+        "ColumnEquivalence::Reset",
         "AddEquivalence",
+        "Merge",
     ],
     # Memo and its MemoShard shard-fill twin both live in this TU; every
     # twin is manifested under its qualified name so deleting or renaming
@@ -222,6 +224,10 @@ ALLOWED_RECEIVERS = {
     # arenas for entries/plans, flat bitmaps sized once per run).
     "plans", "plans_", "entry_arena_", "creation_order_", "arena_",
     "states_", "explored_flat_", "constructible_flat_",
+    # A column equivalence's K representatives: sized to the query's slot
+    # count on Reset, capacity retained across Clear/Reset, so a rebuild
+    # over a same-or-smaller query allocates nothing.
+    "rep_",
     # Shard rank lists: one push per entry *created* in the rank (not per
     # join), cleared at the rank-barrier merge with capacity retained — so
     # they are quiescent on warm reruns like the arenas above.
